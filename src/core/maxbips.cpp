@@ -1,6 +1,7 @@
 #include "core/maxbips.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -52,6 +53,27 @@ units::Watts MaxBipsManager::predict_power(const IslandObservation& obs,
 }
 
 std::vector<std::size_t> MaxBipsManager::choose_levels(
+    std::span<const IslandObservation> observations) const {
+  // The key is the bit pattern of every input solve() reads; its length
+  // encodes the island count. memo_key_ starts empty, so the first call
+  // (whose key holds at least the budget) always solves.
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  key_.clear();
+  key_.push_back(bits(budget_.value()));
+  for (const IslandObservation& o : observations) {
+    key_.push_back(bits(o.bips));
+    key_.push_back(bits(o.power_w));
+    key_.push_back(bits(o.leakage_w));
+    key_.push_back(static_cast<std::uint64_t>(o.dvfs_level));
+  }
+  if (key_ != memo_key_) {
+    memo_levels_ = solve(observations);
+    memo_key_.swap(key_);
+  }
+  return memo_levels_;
+}
+
+std::vector<std::size_t> MaxBipsManager::solve(
     std::span<const IslandObservation> observations) const {
   const std::size_t n = observations.size();
   const std::size_t levels = config_.dvfs.num_levels();

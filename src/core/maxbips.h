@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -33,6 +34,8 @@ class MaxBipsManager {
 
   /// Chooses one DVFS level per island from the observations of the last
   /// interval (each island's measured BIPS and power at its current level).
+  /// A call whose inputs are bitwise-equal to the previous call's returns
+  /// the previous answer without re-solving (see the memo below).
   std::vector<std::size_t> choose_levels(
       std::span<const IslandObservation> observations) const;
 
@@ -53,10 +56,31 @@ class MaxBipsManager {
   MaxBipsConfig config_;
   units::Watts budget_;
 
-  // Scratch reused across choose_levels calls (one call per GPM invocation):
-  // the DP tables run ~quarter-MB at 16 islands x 1024 bins, and allocating +
-  // filling a fresh vector<vector> lattice per call dominated the manager's
-  // cost. Flat row-major storage, same iteration order, identical results.
+  /// The knapsack DP itself: the only solver, run on every memo miss.
+  std::vector<std::size_t> solve(
+      std::span<const IslandObservation> observations) const;
+
+  // Cost model: one DP per *distinct* input. choose_levels keys each call on
+  // the bit patterns of everything solve() reads -- the budget, the island
+  // count, and per island bips, power_w, leakage_w and dvfs_level -- and
+  // returns memo_levels_ when the key equals the last solve's. Equal bits
+  // imply an identical DP and so an identical answer, with no -0.0/NaN edge
+  // cases. With the static prediction table (maxbips_dynamic = false) the
+  // inputs only change with the budget, so a run costs one solve plus one per
+  // budget change; dynamic observations miss almost every window and pay the
+  // full DP as before. The memo holds n observations' keys plus n levels.
+  //
+  // The DP scratch below is reused across solves: the tables run
+  // ~quarter-MB at 16 islands x 1024 bins, and allocating + filling a fresh
+  // vector<vector> lattice per call dominated the manager's cost. Flat
+  // row-major storage, same iteration order, identical results.
+  //
+  // The memo and the scratch are both mutated by the const choose_levels, so
+  // one instance must not run choose_levels concurrently; give each thread
+  // (each simulation) its own manager.
+  mutable std::vector<std::uint64_t> key_;        // this call's input bits
+  mutable std::vector<std::uint64_t> memo_key_;   // last solve's input bits
+  mutable std::vector<std::size_t> memo_levels_;  // last solve's answer
   mutable std::vector<double> dp_;            // (n+1) x (bins+1)
   mutable std::vector<std::size_t> choice_;   // n x (bins+1)
   mutable std::vector<double> pred_bips_;     // n x levels

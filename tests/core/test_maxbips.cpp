@@ -1,8 +1,12 @@
 #include "core/maxbips.h"
 #include "util/units.h"
 
+#include "util/rng.h"
+
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <vector>
 
 namespace cpm::core {
@@ -126,13 +130,98 @@ TEST(MaxBips, SetBudgetMatchesFreshManager) {
   // over instead of being rebuilt.
   const std::vector<IslandObservation> islands{
       obs(2.0, 12.0, 7), obs(0.8, 9.0, 7), obs(1.5, 11.0, 7), obs(0.5, 8.0, 7)};
+  const auto fresh_levels = [&islands](double budget) {
+    return MaxBipsManager(config(), units::Watts{budget})
+        .choose_levels(islands);
+  };
   MaxBipsManager reused(config(), units::Watts{38.0});
-  (void)reused.choose_levels(islands);  // exercise it at the old budget first
+  const std::vector<std::size_t> at_38 = reused.choose_levels(islands);
   reused.set_budget(units::Watts{20.0});
   EXPECT_DOUBLE_EQ(reused.budget().value(), 20.0);
+  const std::vector<std::size_t> at_20 = reused.choose_levels(islands);
+  EXPECT_EQ(at_20, fresh_levels(20.0));
+  EXPECT_NE(at_20, at_38);
 
-  MaxBipsManager fresh(config(), units::Watts{20.0});
-  EXPECT_EQ(reused.choose_levels(islands), fresh.choose_levels(islands));
+  // Restoring the earlier budget with the same observations must not return
+  // the answer memoized at the other budget.
+  reused.set_budget(units::Watts{38.0});
+  EXPECT_EQ(reused.choose_levels(islands), fresh_levels(38.0));
+}
+
+// One ulp towards +inf or -inf, chosen by `up`.
+double ulp_step(double x, bool up) {
+  return std::nextafter(x, up ? std::numeric_limits<double>::infinity()
+                              : -std::numeric_limits<double>::infinity());
+}
+
+IslandObservation random_obs(util::Xoshiro256pp& rng) {
+  IslandObservation o = obs(rng.uniform(0.2, 3.0), rng.uniform(4.0, 14.0),
+                            static_cast<std::size_t>(rng.uniform_int(8)));
+  o.leakage_w = rng.uniform(0.0, 4.0);
+  return o;
+}
+
+TEST(MaxBips, LongLivedManagerMatchesFreshManagerEveryCall) {
+  // choose_levels keeps the last solve's inputs and answer and returns the
+  // answer again for bitwise-equal inputs. A manager that lives across the
+  // whole sequence must agree with a fresh manager (which always solves) on
+  // every call: exact repeats (memo hits), one-ulp nudges and full redraws of
+  // each field the DP reads, island-count changes and budget moves (misses).
+  util::Xoshiro256pp rng(20100913);
+  std::vector<IslandObservation> islands(4);
+  for (auto& o : islands) o = random_obs(rng);
+  double budget = 30.0;
+  MaxBipsManager live(config(), units::Watts{budget});
+
+  std::size_t repeats = 0;
+  std::size_t answer_changes = 0;
+  std::vector<std::size_t> previous;
+  for (int step = 0; step < 600; ++step) {
+    const bool up = rng.uniform_int(2) == 0;
+    const bool nudge = rng.uniform_int(2) == 0;  // one ulp, else a redraw
+    IslandObservation& o = islands[rng.uniform_int(islands.size())];
+    const IslandObservation fresh_draw = random_obs(rng);
+    switch (rng.uniform_int(8)) {
+      case 0:
+        ++repeats;  // exact repeat of the previous call's inputs
+        break;
+      case 1:
+        o.bips = nudge ? ulp_step(o.bips, up) : fresh_draw.bips;
+        break;
+      case 2:
+        o.power_w = nudge ? ulp_step(o.power_w, up) : fresh_draw.power_w;
+        break;
+      case 3:
+        o.leakage_w = nudge ? ulp_step(o.leakage_w, up) : fresh_draw.leakage_w;
+        break;
+      case 4:
+        o.dvfs_level = nudge ? (up ? std::min<std::size_t>(o.dvfs_level + 1, 7)
+                                   : o.dvfs_level - (o.dvfs_level > 0 ? 1 : 0))
+                             : fresh_draw.dvfs_level;
+        break;
+      case 5:
+        if (up && islands.size() < 8) {
+          islands.push_back(fresh_draw);
+        } else if (islands.size() > 1) {
+          islands.pop_back();
+        }
+        break;
+      default:
+        budget = nudge ? ulp_step(budget, up)
+                       : budget * (up ? rng.uniform(1.05, 1.6)
+                                      : rng.uniform(0.6, 0.95));
+        live.set_budget(units::Watts{budget});
+        break;
+    }
+    const std::vector<std::size_t> got = live.choose_levels(islands);
+    MaxBipsManager fresh(config(), units::Watts{budget});
+    ASSERT_EQ(got, fresh.choose_levels(islands)) << "step " << step;
+    if (got != previous) ++answer_changes;
+    previous = got;
+  }
+  // The sequence exercised both sides of the memo.
+  EXPECT_GT(repeats, 30u);
+  EXPECT_GT(answer_changes, 100u);
 }
 
 TEST(MaxBips, SetBudgetRejectsNonPositive) {

@@ -3,12 +3,13 @@
 // Each scenario draws a random-but-reproducible configuration (topology,
 // DVFS table, controller cadence, workload mix, budget and mid-run budget
 // schedule, actuation knobs, sensing pathologies) from a seeded util::rng
-// stream, then runs all five manager/policy variants (CPM x
-// perf/thermal/variation, MaxBIPS, NoDVFS) under an InvariantChecker and
-// asserts four differential guarantees on top of the per-record invariants:
+// stream, then runs all six manager/policy variants (CPM x
+// perf/thermal/variation, MaxBIPS with its static table and with dynamic
+// observations, NoDVFS) under an InvariantChecker and asserts five
+// differential guarantees on top of the per-record invariants:
 //
 //   1. determinism  -- the same seed produces bit-identical results whether
-//                      the five variants run serially or via
+//                      the six variants run serially or via
 //                      util::parallel_map (full pipeline incl. calibration);
 //   2. trace fidelity -- CSV and JSONL round-trips through trace_io
 //                      reproduce every serialized field bit-exactly;
@@ -65,6 +66,7 @@ struct VariantSpec {
   const char* name;
   core::ManagerKind manager;
   core::PolicyKind policy;
+  bool maxbips_dynamic = false;
 };
 
 constexpr VariantSpec kVariants[] = {
@@ -72,6 +74,8 @@ constexpr VariantSpec kVariants[] = {
     {"cpm/thermal", core::ManagerKind::kCpm, core::PolicyKind::kThermal},
     {"cpm/variation", core::ManagerKind::kCpm, core::PolicyKind::kVariation},
     {"maxbips", core::ManagerKind::kMaxBips, core::PolicyKind::kPerformance},
+    {"maxbips/dynamic", core::ManagerKind::kMaxBips,
+     core::PolicyKind::kPerformance, true},
     {"nodvfs", core::ManagerKind::kNoDvfs, core::PolicyKind::kPerformance},
 };
 constexpr std::size_t kNumVariants = std::size(kVariants);
@@ -362,6 +366,7 @@ bool FuzzRun::run_scenario(std::size_t index) {
     core::SimulationConfig c = base;
     c.manager = v.manager;
     c.policy = v.policy;
+    c.maxbips_dynamic = v.maxbips_dynamic;
     configs.push_back(std::move(c));
   }
 
