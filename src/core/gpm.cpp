@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "util/log.h"
-#include "util/metrics.h"
 #include "util/trace.h"
 
 namespace cpm::core {
@@ -41,14 +40,10 @@ std::vector<double> Gpm::invoke(
   if (observations.size() != allocation_.size()) {
     throw std::invalid_argument("Gpm::invoke: observation count mismatch");
   }
-  static util::Counter& invoke_counter =
-      util::MetricsRegistry::global().counter("gpm.invocations");
-  static util::Histogram& demand_hist =
-      util::MetricsRegistry::global().histogram("gpm.observed_power_w");
-  invoke_counter.add();
+  ++invocations_;
   double observed_w = 0.0;
   for (const IslandObservation& o : observations) observed_w += o.power_w;
-  demand_hist.observe(observed_w);
+  observed_power_stats_.add(observed_w);
   CPM_TRACE_SCOPE2("gpm", "Gpm::invoke", "budget_w", budget_.value(),
                    "observed_w", observed_w);
   std::vector<double> next =
@@ -69,14 +64,12 @@ std::vector<double> Gpm::invoke(
     for (auto& a : next) a *= scale;
   }
   allocation_ = std::move(next);
-  ++invocations_;
   return allocation_;
 }
 
 void Gpm::reset() {
   const std::size_t n = allocation_.size();
   allocation_.assign(n, budget_.value() / static_cast<double>(n));
-  invocations_ = 0;
   policy_->reset();
 }
 

@@ -5,12 +5,14 @@
 // flexibility claim.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "core/policy.h"
 #include "core/types.h"
+#include "util/stats.h"
 #include "util/units.h"
 
 namespace cpm::core {
@@ -35,11 +37,21 @@ class Gpm {
 
   void reset();
 
+  /// Lifetime telemetry (not cleared by reset()): invoke() calls and the
+  /// distribution of observed chip power (sum of the islands' sensed watts)
+  /// per invocation. Plain fields, published to the metrics registry by the
+  /// owning run (`gpm.invocations`, `gpm.observed_power_w`).
+  std::uint64_t invocations() const noexcept { return invocations_; }
+  const util::RunningStats& observed_power_stats() const noexcept {
+    return observed_power_stats_;
+  }
+
  private:
   std::unique_ptr<ProvisioningPolicy> policy_;
   units::Watts budget_;
   std::vector<double> allocation_;
-  std::size_t invocations_ = 0;
+  std::uint64_t invocations_ = 0;
+  util::RunningStats observed_power_stats_;
 };
 
 }  // namespace cpm::core

@@ -52,18 +52,34 @@ InvariantChecker::InvariantChecker(InvariantCheckerConfig config)
   }
 }
 
+InvariantChecker::~InvariantChecker() { publish_metrics(); }
+
+void InvariantChecker::publish_metrics() {
+  // cpm-lint: allow(determinism) fold site, adds unpublished counts only
+  util::MetricsRegistry& registry = util::MetricsRegistry::global();
+  static util::Counter& pic_checked =
+      registry.counter("invariants.pic_checked");
+  static util::Counter& gpm_checked =
+      registry.counter("invariants.gpm_checked");
+  static util::Counter& violations =
+      registry.counter("invariants.violations");
+  pic_checked.add(pic_count_ - published_.pic);
+  gpm_checked.add(gpm_count_ - published_.gpm);
+  violations.add(violation_count_ - published_.violations);
+  published_ = {pic_count_, gpm_count_, violation_count_};
+}
+
 void InvariantChecker::report(InvariantViolation v) {
-  static util::Counter& violation_counter =
-      util::MetricsRegistry::global().counter("invariants.violations");
-  violation_counter.add();
-  if (config_.fatal) throw InvariantViolationError(v);
+  ++violation_count_;
+  if (config_.fatal) {
+    // The throw usually ends the run; publish what was checked up to here.
+    publish_metrics();
+    throw InvariantViolationError(v);
+  }
   violations_.push_back(std::move(v));
 }
 
 void InvariantChecker::check_pic(const PicIntervalRecord& rec) {
-  static util::Counter& checked_counter =
-      util::MetricsRegistry::global().counter("invariants.pic_checked");
-  checked_counter.add();
   ++pic_count_;
   if (rec.island >= config_.num_islands) {
     report({"pic.island_index", rec.time_s, rec.island,
@@ -119,9 +135,6 @@ void InvariantChecker::check_pic(const PicIntervalRecord& rec) {
 }
 
 void InvariantChecker::check_gpm(const GpmIntervalRecord& rec) {
-  static util::Counter& checked_counter =
-      util::MetricsRegistry::global().counter("invariants.gpm_checked");
-  checked_counter.add();
   ++gpm_count_;
   if (rec.island_alloc_w.size() != config_.num_islands ||
       rec.island_actual_w.size() != config_.num_islands) {
@@ -243,6 +256,7 @@ void CheckingSink::on_gpm(const GpmIntervalRecord& rec) {
 
 void CheckingSink::on_finish(SimulationResult& result) {
   checker_->check_aggregates(*this);
+  checker_->publish_metrics();
   inner_->finish(result);
 }
 

@@ -77,6 +77,11 @@ struct InvariantCheckerConfig {
 class InvariantChecker {
  public:
   explicit InvariantChecker(InvariantCheckerConfig config);
+  /// Publishes whatever publish_metrics() has not yet.
+  ~InvariantChecker();
+  // One checker, one set of counts: a copy would publish them twice.
+  InvariantChecker(const InvariantChecker&) = delete;
+  InvariantChecker& operator=(const InvariantChecker&) = delete;
 
   void check_pic(const PicIntervalRecord& rec);
   void check_gpm(const GpmIntervalRecord& rec);
@@ -94,6 +99,13 @@ class InvariantChecker {
   /// One-line status plus (up to) the first three violations.
   std::string summary() const;
 
+  /// Adds the records checked and violations found since the last call to
+  /// the metrics registry (`invariants.pic_checked`, `invariants.gpm_checked`,
+  /// `invariants.violations`). The checks themselves only bump plain fields;
+  /// CheckingSink publishes at the end of the run, a fatal checker before
+  /// it throws, and the destructor publishes the rest.
+  void publish_metrics();
+
   const InvariantCheckerConfig& config() const noexcept { return config_; }
 
  private:
@@ -110,6 +122,11 @@ class InvariantChecker {
   ChipTrackingAccumulator shadow_tracking_;
   std::size_t pic_count_ = 0;
   std::size_t gpm_count_ = 0;
+  // Every report(), including fatal ones that never reach violations_.
+  std::size_t violation_count_ = 0;
+  struct Published {
+    std::size_t pic = 0, gpm = 0, violations = 0;
+  } published_;
 };
 
 /// RecordSink decorator: validates every record with an InvariantChecker,

@@ -12,10 +12,12 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "control/observer.h"
 #include "control/pid.h"
 #include "power/sensor.h"
+#include "util/stats.h"
 #include "util/units.h"
 
 namespace cpm::core {
@@ -88,6 +90,15 @@ class Pic {
   units::Percent last_error() const noexcept { return last_error_; }
   void reset(units::GigaHertz initial_freq);
 
+  /// Lifetime telemetry (not cleared by reset()): invoke() calls and the
+  /// distribution of |error| in percentage points. Plain fields, published
+  /// to the metrics registry by the owning run (`pic.invocations`,
+  /// `pic.abs_error_pct`).
+  std::uint64_t invocations() const noexcept { return invocations_; }
+  const util::RunningStats& abs_error_stats() const noexcept {
+    return abs_error_stats_;
+  }
+
  private:
   PicConfig config_;
   power::TransducerModel transducer_;
@@ -97,6 +108,8 @@ class Pic {
   units::GigaHertz freq_request_;
   units::Percent last_error_{0.0};
   units::GigaHertz last_delta_{0.0};
+  std::uint64_t invocations_ = 0;
+  util::RunningStats abs_error_stats_;
 };
 
 }  // namespace cpm::core

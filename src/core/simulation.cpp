@@ -146,6 +146,53 @@ struct IntervalAccum {
   void reset() { *this = IntervalAccum{}; }
 };
 
+/// What one run (or one calibration) adds to the process-wide metrics.
+/// The tick, PIC and GPM paths count into plain fields of the objects that
+/// own them (sim::Chip, Pic, Gpm, SimulationRun); this is gathered from
+/// those once and folded in by publish_run_totals().
+struct RunTotals {
+  std::uint64_t runs = 0;
+  std::uint64_t chip_ticks = 0;
+  std::uint64_t pic_records = 0;
+  std::uint64_t gpm_records = 0;
+  /// Only CPM runs invoke PICs and a GPM; the pic.* and gpm.* metrics are
+  /// registered by the first run that does.
+  std::uint64_t pic_invocations = 0;
+  util::RunningStats pic_abs_error_pct;
+  std::uint64_t gpm_invocations = 0;
+  util::RunningStats gpm_observed_power_w;
+};
+
+/// The simulation layer's only write to the process-wide registry. One call
+/// per run, made from the thread that finishes (or destroys) the run: the
+/// cluster tier finishes its chips in chip order on its calling thread, so
+/// the published histograms are identical at any thread count.
+void publish_run_totals(const RunTotals& totals) {
+  // cpm-lint: allow(determinism) the per-run fold site, one call per run
+  util::MetricsRegistry& registry = util::MetricsRegistry::global();
+  static util::Counter& runs = registry.counter("sim.runs");
+  static util::Counter& ticks = registry.counter("chip.ticks");
+  static util::Counter& pic_records = registry.counter("sim.pic_records");
+  static util::Counter& gpm_records = registry.counter("sim.gpm_records");
+  runs.add(totals.runs);
+  ticks.add(totals.chip_ticks);
+  pic_records.add(totals.pic_records);
+  gpm_records.add(totals.gpm_records);
+  if (totals.pic_invocations > 0) {
+    static util::Counter& invocations = registry.counter("pic.invocations");
+    static util::Histogram& abs_error = registry.histogram("pic.abs_error_pct");
+    invocations.add(totals.pic_invocations);
+    abs_error.merge(totals.pic_abs_error_pct);
+  }
+  if (totals.gpm_invocations > 0) {
+    static util::Counter& invocations = registry.counter("gpm.invocations");
+    static util::Histogram& observed =
+        registry.histogram("gpm.observed_power_w");
+    invocations.add(totals.gpm_invocations);
+    observed.merge(totals.gpm_observed_power_w);
+  }
+}
+
 }  // namespace
 
 double Simulation::level_scale(std::size_t level) const {
@@ -232,6 +279,10 @@ void Simulation::calibrate() {
     }
   }
 
+  RunTotals calibration_totals;
+  calibration_totals.chip_ticks = chip.ticks();
+  publish_run_totals(calibration_totals);
+
   max_power_w_ = peak_chip_power;
   budget_w_ = config_.budget_fraction * max_power_w_;
 
@@ -292,7 +343,28 @@ std::unique_ptr<SimulationRun> Simulation::start(RecordSink& sink) {
 // SimulationRun
 // ---------------------------------------------------------------------------
 
-SimulationRun::~SimulationRun() = default;
+SimulationRun::~SimulationRun() {
+  // A run abandoned without finish() (an exception, a supervisor that stops
+  // early) still accounts for the work it simulated.
+  if (!finished_) publish_metrics();
+}
+
+void SimulationRun::publish_metrics() {
+  RunTotals totals;
+  totals.runs = finished_ ? 1 : 0;
+  totals.chip_ticks = chip_.ticks();
+  totals.pic_records = pic_records_;
+  totals.gpm_records = gpm_records_;
+  for (const Pic& pic : pics_) {
+    totals.pic_invocations += pic.invocations();
+    totals.pic_abs_error_pct.merge(pic.abs_error_stats());
+  }
+  if (gpm_) {
+    totals.gpm_invocations = gpm_->invocations();
+    totals.gpm_observed_power_w = gpm_->observed_power_stats();
+  }
+  publish_run_totals(totals);
+}
 
 SimulationRun::SimulationRun(Simulation& owner, RecordSink* sink)
     : owner_(&owner),
@@ -587,9 +659,7 @@ void SimulationRun::pic_boundary(double now) {
     // Counted here, at the production site, rather than in RecordSink: a
     // CheckingSink forwards each record through its inner sink's public
     // entry point, which would double-count.
-    static util::Counter& pic_record_counter =
-        util::MetricsRegistry::global().counter("sim.pic_records");
-    pic_record_counter.add();
+    ++pic_records_;
     sink_->record_pic(rec);
     result_.island_level_residency[i][rec.dvfs_level] += 1.0;
     gpm_accum_[i].merge(pic_accum_[i]);
@@ -663,9 +733,7 @@ void SimulationRun::gpm_boundary(double now) {
   last_gpm_bips_ = rec.chip_bips;
   CPM_TRACE_COUNTER("chip_power_w", "actual", rec.chip_actual_w);
   CPM_TRACE_COUNTER("chip_bips", "bips", rec.chip_bips);
-  static util::Counter& gpm_record_counter =
-      util::MetricsRegistry::global().counter("sim.gpm_records");
-  gpm_record_counter.add();
+  ++gpm_records_;
   sink_->record_gpm(rec);
 
   // ---- migration advisor (extension) ----
@@ -706,9 +774,6 @@ SimulationResult SimulationRun::finish() {
     throw std::logic_error("SimulationRun::finish: already finished");
   }
   finished_ = true;
-  static util::Counter& runs_counter =
-      util::MetricsRegistry::global().counter("sim.runs");
-  runs_counter.add();
   result_.duration_s = elapsed_s();
   for (auto& residency : result_.island_level_residency) {
     double total = 0.0;
@@ -726,6 +791,9 @@ SimulationResult SimulationRun::finish() {
     result_.dvfs_transitions += static_cast<double>(
         chip_.island(i).actuator().transition_count());
   }
+  // Published before the sink's finish(): a fatal checking sink may throw
+  // from there, and the run's counts are final either way.
+  publish_metrics();
   sink_->finish(result_);
   return std::move(result_);
 }

@@ -213,6 +213,11 @@ class SimulationRun {
   void tick_once();
   void pic_boundary(double now);
   void gpm_boundary(double now);
+  /// Folds this run's counts and statistics (chip ticks, records, PIC/GPM
+  /// invocations and their distributions) into the process-wide metrics
+  /// registry. Called exactly once: by finish(), or by the destructor of a
+  /// run that was never finished.
+  void publish_metrics();
 
   Simulation* owner_;
   // Substrate.
@@ -291,6 +296,10 @@ class SimulationRun {
   RecordSink* sink_;
   double last_gpm_power_w_ = 0.0;
   double last_gpm_bips_ = 0.0;
+  // Records produced, counted at the production site (published as
+  // sim.pic_records / sim.gpm_records).
+  std::uint64_t pic_records_ = 0;
+  std::uint64_t gpm_records_ = 0;
   bool finished_ = false;
 };
 

@@ -87,8 +87,14 @@ void PowerModel::chip_power_batch(
   // Multiplication order mirrors DynamicPowerModel::power_batch and
   // LeakageModel::core_power exactly (including the util::exp_fast leakage
   // exponential), so this sweep is element-wise bit-identical to the
-  // per-island core_powers_batch path while staying straight-line and
-  // auto-vectorizable.
+  // per-island core_powers_batch path. The loop is straight-line and
+  // vectorized: exp_fast has no integer shifts or branches, and cpm_power
+  // builds with -fno-trapping-math so the utilization clamp and exp_fast's
+  // exponent clamp become vector selects (under the default
+  // -ftrapping-math GCC keeps them as branches, since an ordered compare may
+  // raise FE_INVALID). The flag changes no result bit. The marker is
+  // checked against GCC's -fopt-info-vec report by
+  // scripts/check_vectorized.py.
   const double ceff_base = dynamic_.ceff_base();
   const double k_design = leakage_.k_design();
   const double beta = leakage_.temp_beta();
@@ -102,6 +108,7 @@ void PowerModel::chip_power_batch(
   const double* lm = leak_mult.data();
   const double* t = temps_c.data();
   double* out = out_total_w.data();
+  // cpm: vectorized
   for (std::size_t i = 0; i < n; ++i) {
     const double u = std::clamp(u_in[i], 0.0, 1.0);
     const double effective_activity = u * ab[i] + (1.0 - u) * ai[i];

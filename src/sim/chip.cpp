@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "util/metrics.h"
 #include "util/rng.h"
 
 namespace cpm::sim {
@@ -106,9 +105,7 @@ void Chip::migrate(std::size_t island_a, std::size_t core_a,
 }
 
 const ChipTick& Chip::step(double dt_seconds) {
-  static util::Counter& tick_counter =
-      util::MetricsRegistry::global().counter("chip.ticks");
-  tick_counter.add();
+  ++ticks_;
   const double congestion = memory_.congestion();
   tick_.congestion = congestion;
   tick_.total_bips = 0.0;
@@ -123,6 +120,47 @@ const ChipTick& Chip::step(double dt_seconds) {
   step_batched(dt_seconds, congestion);
   return tick_;
 }
+
+namespace {
+
+/// Pass 2 of Chip::step_batched: the core micro-model over the flat SoA
+/// columns. Bit-exactness contract with CoreModel::step: identical operations
+/// in identical order, element-wise only (the congestion term and the
+/// instruction scale are hoisted as the *same* scalar expressions, no sum is
+/// reassociated, and both paths multiply by the island's reciprocal
+/// frequency rather than dividing), so the vector and the scalar reference
+/// kernels produce identical doubles. The reciprocal-frequency and
+/// compute*`1/t` forms keep this loop at one division per core -- divides
+/// are the only non-pipelining operation here.
+///
+/// The columns are distinct vectors, which the compiler cannot prove from
+/// nine `double*`s; without `__restrict` the loop needs more runtime alias
+/// checks than GCC will version for and stays scalar. The `cpm: vectorized`
+/// marker below is checked against GCC's -fopt-info-vec report by
+/// scripts/check_vectorized.py.
+void micro_model_sweep(std::size_t cores, double cong_term,
+                       double instr_scale, const double* __restrict cpi,
+                       const double* __restrict mem,
+                       const double* __restrict dbw,
+                       const double* __restrict invf,
+                       const double* __restrict run, double* __restrict instr,
+                       double* __restrict bips, double* __restrict util,
+                       double* __restrict bw) {
+  // cpm: vectorized
+  for (std::size_t g = 0; g < cores; ++g) {
+    const double compute_ns = cpi[g] * invf[g];
+    const double mem_ns = mem[g] * cong_term;
+    const double t_instr_ns = compute_ns + mem_ns;
+    // 1 ns/instruction == 1 BIPS, so BIPS while running is 1/t_instr_ns.
+    const double bips_running = 1.0 / t_instr_ns;
+    instr[g] = bips_running * instr_scale * run[g];
+    bips[g] = bips_running * run[g];
+    util[g] = compute_ns * bips_running * run[g];
+    bw[g] = bips_running * dbw[g] * run[g];
+  }
+}
+
+}  // namespace
 
 void Chip::step_batched(double dt_seconds, double congestion) {
   const std::size_t cores = num_cores();
@@ -153,38 +191,19 @@ void Chip::step_batched(double dt_seconds, double congestion) {
     }
   }
 
-  // ---- pass 2 (flat, auto-vectorizable): the core micro-model.
-  // Bit-exactness contract with CoreModel::step: identical operations in
-  // identical order, element-wise only (the congestion term and the
-  // instruction scale are hoisted as the *same* scalar expressions, no sum
-  // is reassociated, and both paths multiply by the island's reciprocal
-  // frequency rather than dividing), so the SIMD build and the scalar
-  // reference kernel produce identical doubles. The reciprocal-frequency and
-  // compute*`1/t` forms keep this loop at one division per core -- divides
-  // are the only non-pipelining operation here.
+  // ---- pass 2 (flat, vectorized): the core micro-model.
   const double cong_term =
       1.0 + config_.contention_gamma * std::max(0.0, congestion);
   const double instr_scale = 1e9 * dt_seconds;
-  const double* cpi = soa_.demand_cpi.data();
-  const double* mem = soa_.demand_mem_ns.data();
-  const double* dbw = soa_.demand_bandwidth.data();
-  const double* invf = soa_.inv_freq.data();
-  const double* run = soa_.run_fraction.data();
-  double* instr = soa_.instructions.data();
-  double* bips = soa_.bips.data();
-  double* util = soa_.utilization.data();
-  double* bw = soa_.bandwidth_demand.data();
-  for (std::size_t g = 0; g < cores; ++g) {
-    const double compute_ns = cpi[g] * invf[g];
-    const double mem_ns = mem[g] * cong_term;
-    const double t_instr_ns = compute_ns + mem_ns;
-    // 1 ns/instruction == 1 BIPS, so BIPS while running is 1/t_instr_ns.
-    const double bips_running = 1.0 / t_instr_ns;
-    instr[g] = bips_running * instr_scale * run[g];
-    bips[g] = bips_running * run[g];
-    util[g] = compute_ns * bips_running * run[g];
-    bw[g] = bips_running * dbw[g] * run[g];
-  }
+  micro_model_sweep(cores, cong_term, instr_scale, soa_.demand_cpi.data(),
+                    soa_.demand_mem_ns.data(), soa_.demand_bandwidth.data(),
+                    soa_.inv_freq.data(), soa_.run_fraction.data(),
+                    soa_.instructions.data(), soa_.bips.data(),
+                    soa_.utilization.data(), soa_.bandwidth_demand.data());
+  const double* instr = soa_.instructions.data();
+  const double* bips = soa_.bips.data();
+  const double* util = soa_.utilization.data();
+  const double* bw = soa_.bandwidth_demand.data();
 
   // ---- pass 3: island/chip reductions, per-core bookkeeping, views.
   double total_demand = 0.0;

@@ -5,7 +5,8 @@
 // Tick-state layout: the chip owns all per-core per-tick state as
 // structure-of-arrays (ChipSoa) in island-major flat core order, and the
 // production tick path (TickKernel::kBatched) runs the core micro-model as
-// one flat, auto-vectorizable sweep over those arrays. The legacy
+// one flat, vectorized sweep over those arrays (scripts/check_vectorized.py
+// holds it to that in the Release build). The legacy
 // object-walking loop (Chip -> Island::step -> CoreModel::step) is retained
 // as TickKernel::kScalarReference, a test-only differential oracle that the
 // fuzz harness holds bit-identical to the batched kernel. ChipTick /
@@ -94,6 +95,10 @@ class Chip {
   /// Advances every core one tick. Returns a reference to an internal
   /// record that is overwritten by the next step() call; copy it to retain.
   const ChipTick& step(double dt_seconds);
+  /// step() calls since construction. A plain per-chip count: the owning
+  /// run publishes it to the metrics registry once (`chip.ticks`), so chips
+  /// stepped on different threads never share a cache line.
+  std::uint64_t ticks() const noexcept { return ticks_; }
 
   std::size_t num_islands() const noexcept { return islands_.size(); }
   Island& island(std::size_t idx) noexcept { return islands_[idx]; }
@@ -152,6 +157,7 @@ class Chip {
   TickKernel kernel_;
   bool record_cores_ = true;
   double max_power_w_ = 0.0;
+  std::uint64_t ticks_ = 0;
 
   std::vector<std::size_t> offsets_;  // island -> first flat core index
   ChipSoa soa_;

@@ -4,8 +4,10 @@
 // tick; libm's exp is correctly rounded but scalar and call-heavy, which
 // makes it the single largest term in the whole-chip power sweep. exp_fast
 // trades the last two digits (~1e-11 relative error on the simulator's
-// operating range) for straight-line arithmetic that the compiler can
-// auto-vectorize across cores.
+// operating range) for straight-line double arithmetic plus one 64-bit left
+// shift, all of which SSE2 has vector forms for: inlined into
+// PowerModel::chip_power_batch it vectorizes across cores (checked by the
+// check_vectorized ctest, scripts/check_vectorized.py).
 //
 // Deterministic and bit-portable across IEEE-754 platforms: the reduction
 // and polynomial use only +, *, and bit operations in a fixed order (no
@@ -30,18 +32,15 @@ inline double exp_fast(double x) noexcept {
   constexpr double kShift = 6755399441055744.0;  // 1.5 * 2^52
   constexpr double kLn2Hi = 6.93147180369123816490e-01;
   constexpr double kLn2Lo = 1.90821492927058770002e-10;
-  double kd = x * kLog2e + kShift;
-  // Sign-extend the 51-bit integer out of the mantissa: the left shift must
-  // happen on the unsigned pattern, the right shift on the signed one (an
-  // unsigned >> would zero-fill and turn every negative k into a huge
-  // positive exponent).
-  std::int64_t k =
-      static_cast<std::int64_t>(std::bit_cast<std::uint64_t>(kd) << 13) >> 13;
-  kd -= kShift;
+  // kd - kShift is the rounded integer k = round(x/ln2), exact as a double.
+  const double kd = x * kLog2e + kShift - kShift;
   // Keep 2^k representable as a normal double (|x| beyond ~700 saturates
-  // instead of producing a garbage exponent).
-  if (k > 1023) k = 1023;
-  if (k < -1022) k = -1022;
+  // instead of producing a garbage exponent). The clamp runs on doubles:
+  // extracting an integer k needs a 64-bit arithmetic right shift, which
+  // SSE2 cannot vectorize. Same bits as clamping an integer k
+  // (tests/util/test_fastmath.cpp).
+  double kc = kd < -1022.0 ? -1022.0 : kd;
+  kc = kc > 1023.0 ? 1023.0 : kc;
   // r = x - k*ln2 in two pieces; |r| <= 0.3466.
   const double r = (x - kd * kLn2Hi) - kd * kLn2Lo;
   // Degree-9 Taylor polynomial of exp on the reduced range: the truncation
@@ -56,9 +55,11 @@ inline double exp_fast(double x) noexcept {
   p = p * r + 0.5;
   p = p * r + 1.0;
   p = p * r + 1.0;
-  // Scale by 2^k via direct exponent construction.
-  const double scale =
-      std::bit_cast<double>(static_cast<std::uint64_t>(k + 1023) << 52);
+  // Scale by 2^kc via direct exponent construction: kc + 1023 is an integer
+  // in [1, 2046], so adding kShift leaves it in the low 12 mantissa bits, and
+  // shifting those up by 52 makes them the biased exponent of 2^kc.
+  const double scale = std::bit_cast<double>(
+      std::bit_cast<std::uint64_t>(kc + (1023.0 + kShift)) << 52);
   return p * scale;
 }
 

@@ -6,7 +6,9 @@
 // `cpm_sim_cli --metrics-out FILE` / Registry::write_json dump a sorted
 // JSON snapshot. Metric objects live for the life of the registry, so
 // publishers resolve a name once and keep the reference (hot paths never
-// touch the registry map). See docs/OBSERVABILITY.md.
+// touch the registry map). The simulation itself never writes here from its
+// tick, PIC or GPM path: runs count into plain per-run fields and fold them
+// in once, at SimulationRun::finish(). See docs/OBSERVABILITY.md.
 #pragma once
 
 #include <atomic>
@@ -58,6 +60,14 @@ class Histogram {
   void observe(double x) noexcept {
     lock();
     stats_.add(x);
+    unlock();
+  }
+  /// Folds a batch of observations aggregated elsewhere (one lock for the
+  /// whole batch): how per-run statistics are published. Merging an empty
+  /// RunningStats is a no-op.
+  void merge(const RunningStats& batch) noexcept {
+    lock();
+    stats_.merge(batch);
     unlock();
   }
   /// Consistent snapshot of the aggregates.

@@ -5,7 +5,7 @@
 // schedule, actuation knobs, sensing pathologies) from a seeded util::rng
 // stream, then runs all six manager/policy variants (CPM x
 // perf/thermal/variation, MaxBIPS with its static table and with dynamic
-// observations, NoDVFS) under an InvariantChecker and asserts five
+// observations, NoDVFS) under an InvariantChecker and asserts six
 // differential guarantees on top of the per-record invariants:
 //
 //   1. determinism  -- the same seed produces bit-identical results whether
@@ -25,7 +25,12 @@
 //                      fleet (randomized objective, share floor, integral
 //                      trim, shard size) produces bit-identical results at
 //                      1 thread and at N threads, with every chip under an
-//                      InvariantChecker in both runs.
+//                      InvariantChecker in both runs;
+//   6. metrics-threads -- the metrics registry snapshot (write_json) taken
+//                      after each of those two cluster runs, each started
+//                      from a reset registry, is byte-identical, leaving out
+//                      the pool.* and parallel_map.* keys that describe the
+//                      execution rather than the simulation.
 //
 // Every failure prints the master seed and a --replay command that reruns
 // just the offending scenario.
@@ -38,6 +43,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -46,6 +52,7 @@
 #include "core/record_sink.h"
 #include "core/simulation.h"
 #include "core/trace_io.h"
+#include "util/metrics.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 #include "workload/mixes.h"
@@ -187,6 +194,43 @@ bool same_gpm(const core::GpmIntervalRecord& a,
          a.chip_actual_w == b.chip_actual_w &&
          a.chip_budget_w == b.chip_budget_w && a.chip_bips == b.chip_bips &&
          a.max_temp_c == b.max_temp_c;
+}
+
+/// A metrics registry snapshot without its pool.* and parallel_map.* entries.
+/// Relies on write_json's shape: one line, three sections of
+/// "name":value entries, where a value is a number or a flat {...} object.
+std::string simulation_metrics_json() {
+  std::ostringstream out;
+  util::MetricsRegistry::global().write_json(out);
+  const std::string json = out.str();
+  std::string kept;
+  std::size_t i = 0;
+  while (i < json.size()) {
+    const bool entry_start =
+        json[i] == '"' && i > 0 && (json[i - 1] == '{' || json[i - 1] == ',');
+    const std::string_view rest = std::string_view(json).substr(i + 1);
+    if (!entry_start || !(rest.starts_with("pool.") ||
+                          rest.starts_with("parallel_map."))) {
+      kept += json[i++];
+      continue;
+    }
+    // Skip the entry: its value ends at the first ',' or '}' outside a
+    // histogram's braces.
+    int depth = 0;
+    std::size_t j = json.find(':', i);
+    for (++j; j < json.size(); ++j) {
+      if (json[j] == '{') ++depth;
+      if (json[j] == '}' && depth-- == 0) break;
+      if (json[j] == ',' && depth == 0) break;
+    }
+    if (json[j] == ',') {
+      i = j + 1;  // drop the entry and its trailing comma
+    } else {
+      if (!kept.empty() && kept.back() == ',') kept.pop_back();
+      i = j;  // last entry of its section: keep the section's '}'
+    }
+  }
+  return kept;
 }
 
 /// Bit-exact equality of everything cluster determinism guarantees:
@@ -476,6 +520,7 @@ bool FuzzRun::run_scenario(std::size_t index) {
 
     std::vector<core::CalibrationResult> calibrations;
     std::vector<double> max_powers;
+    std::vector<std::string> metrics;  // one snapshot per run_fleet call
     auto run_fleet = [&](std::size_t threads) {
       std::vector<std::unique_ptr<core::Simulation>> chips;
       for (std::size_t c = 0; c < fleet_size; ++c) {
@@ -500,7 +545,11 @@ bool FuzzRun::run_scenario(std::size_t index) {
             *checkers[c], std::make_unique<core::InMemorySink>());
       };
       core::ClusterPowerManager cluster(cfg, std::move(chips));
+      // Guarantee 6: the fleets are built (and the first one calibrated)
+      // above, so the snapshot covers exactly the cluster run.
+      util::MetricsRegistry::global().reset();
       core::ClusterResult result = cluster.run(duration);
+      metrics.push_back(simulation_metrics_json());
       simulations_ += fleet_size;
       for (std::size_t c = 0; c < fleet_size; ++c) {
         records_checked_ += checkers[c]->pic_records_checked() +
@@ -521,6 +570,11 @@ bool FuzzRun::run_scenario(std::size_t index) {
     const std::string diff = diff_cluster(one, many);
     if (!diff.empty()) {
       fail(index, "cluster", "cluster-threads", "first divergence: " + diff);
+    }
+    if (metrics[0] != metrics[1]) {
+      fail(index, "cluster", "metrics-threads",
+           "1 thread: " + metrics[0] + "\n  " + std::to_string(n_threads) +
+               " threads: " + metrics[1]);
     }
   } catch (const std::exception& e) {
     fail(index, "cluster", "cluster-exception", e.what());

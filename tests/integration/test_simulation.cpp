@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <numeric>
 
 #include "core/experiment.h"
+#include "util/metrics.h"
 
 namespace cpm::core {
 namespace {
@@ -124,6 +128,90 @@ TEST(SimulationRun, SubTickAdvancesAccumulate) {
   for (int i = 0; i < 25; ++i) run->advance(0.4 * dt);
   EXPECT_NEAR(run->elapsed_s(), 10 * dt, 1e-12);
   (void)run->finish();
+}
+
+/// Counters and histogram counts the simulation publishes, read together.
+struct PublishedCounts {
+  std::uint64_t chip_ticks, pic_invocations, gpm_invocations, pic_records,
+      gpm_records, runs, pic_error_samples, gpm_power_samples;
+
+  static PublishedCounts read() {
+    util::MetricsRegistry& reg = util::MetricsRegistry::global();
+    return {reg.counter_value("chip.ticks"),
+            reg.counter_value("pic.invocations"),
+            reg.counter_value("gpm.invocations"),
+            reg.counter_value("sim.pic_records"),
+            reg.counter_value("sim.gpm_records"),
+            reg.counter_value("sim.runs"),
+            reg.histogram("pic.abs_error_pct").snapshot().count(),
+            reg.histogram("gpm.observed_power_w").snapshot().count()};
+  }
+};
+
+TEST(SimulationRun, PublishesItsCountsOnceAtFinish) {
+  const PublishedCounts start = PublishedCounts::read();
+  Simulation sim(default_config());
+  const sim::CmpConfig& cmp = sim.config().cmp;
+  const double dt = cmp.tick_seconds();
+  // Calibration publishes its own chip's ticks when it completes.
+  const std::uint64_t calibration_ticks = std::max<std::uint64_t>(
+      cmp.ticks_per_pic_interval * 16,
+      static_cast<std::uint64_t>(sim.config().calibration_seconds / dt));
+  const PublishedCounts calibrated = PublishedCounts::read();
+  EXPECT_EQ(calibrated.chip_ticks - start.chip_ticks, calibration_ticks);
+
+  auto run = sim.start();
+  run->advance(kShortRun);
+  // Nothing reaches the registry while the run is in flight.
+  const PublishedCounts in_flight = PublishedCounts::read();
+  EXPECT_EQ(in_flight.chip_ticks, calibrated.chip_ticks);
+  EXPECT_EQ(in_flight.pic_invocations, calibrated.pic_invocations);
+  EXPECT_EQ(in_flight.pic_records, calibrated.pic_records);
+
+  const SimulationResult result = run->finish();
+  const PublishedCounts done = PublishedCounts::read();
+  const auto run_ticks =
+      static_cast<std::uint64_t>(std::llround(result.duration_s / dt));
+  const std::uint64_t pic_boundaries = run_ticks / cmp.ticks_per_pic_interval;
+  EXPECT_EQ(done.chip_ticks - calibrated.chip_ticks, run_ticks);
+  EXPECT_EQ(done.pic_invocations - calibrated.pic_invocations,
+            cmp.num_islands * pic_boundaries);
+  EXPECT_EQ(done.pic_error_samples - calibrated.pic_error_samples,
+            cmp.num_islands * pic_boundaries);
+  EXPECT_EQ(done.pic_records - calibrated.pic_records,
+            result.pic_records_seen);
+  EXPECT_EQ(done.gpm_records - calibrated.gpm_records,
+            result.gpm_records_seen);
+  EXPECT_EQ(done.gpm_invocations - calibrated.gpm_invocations,
+            result.gpm_records_seen);
+  EXPECT_EQ(done.gpm_power_samples - calibrated.gpm_power_samples,
+            result.gpm_records_seen);
+  EXPECT_EQ(done.runs - calibrated.runs, 1u);
+
+  run.reset();  // a finished run publishes nothing more
+  const PublishedCounts destroyed = PublishedCounts::read();
+  EXPECT_EQ(destroyed.chip_ticks, done.chip_ticks);
+  EXPECT_EQ(destroyed.pic_invocations, done.pic_invocations);
+  EXPECT_EQ(destroyed.runs, done.runs);
+}
+
+TEST(SimulationRun, UnfinishedRunPublishesWhenDestroyed) {
+  Simulation sim(default_config());
+  const sim::CmpConfig& cmp = sim.config().cmp;
+  const PublishedCounts before = PublishedCounts::read();
+  auto run = sim.start();
+  run->advance(kShortRun / 2);
+  const auto run_ticks = static_cast<std::uint64_t>(
+      std::llround(run->elapsed_s() / cmp.tick_seconds()));
+  run.reset();
+  const PublishedCounts after = PublishedCounts::read();
+  EXPECT_EQ(after.chip_ticks - before.chip_ticks, run_ticks);
+  EXPECT_EQ(after.pic_invocations - before.pic_invocations,
+            cmp.num_islands * (run_ticks / cmp.ticks_per_pic_interval));
+  EXPECT_EQ(after.pic_records - before.pic_records,
+            cmp.num_islands * (run_ticks / cmp.ticks_per_pic_interval));
+  EXPECT_GT(after.gpm_records, before.gpm_records);
+  EXPECT_EQ(after.runs, before.runs);  // sim.runs counts finished runs
 }
 
 TEST(Simulation, SeedChangesResults) {

@@ -64,7 +64,7 @@ void expect_family_matches_golden(const std::string& check,
 }
 
 TEST(CheckFamilies, Determinism) {
-  expect_family_matches_golden("determinism", 7, 3);
+  expect_family_matches_golden("determinism", 9, 4);
 }
 
 TEST(CheckFamilies, ParallelCapture) {

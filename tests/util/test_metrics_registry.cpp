@@ -33,6 +33,57 @@ TEST(MetricsRegistry, CounterGaugeHistogramBasics) {
   EXPECT_DOUBLE_EQ(snap.max(), 3.0);
 }
 
+TEST(Histogram, MergeEqualsObservingOneByOne) {
+  const std::vector<double> earlier = {3.5, -1.25, 8.0};
+  const std::vector<double> batch = {0.5, 12.75, -4.0, 2.25, 7.5, 0.125};
+  Histogram one_by_one;
+  Histogram merged;
+  for (const double x : earlier) {
+    one_by_one.observe(x);
+    merged.observe(x);
+  }
+  RunningStats run;
+  for (const double x : batch) {
+    one_by_one.observe(x);
+    run.add(x);
+  }
+  merged.merge(run);
+  const RunningStats a = one_by_one.snapshot();
+  const RunningStats b = merged.snapshot();
+  EXPECT_EQ(b.count(), a.count());
+  EXPECT_EQ(b.min(), a.min());
+  EXPECT_EQ(b.max(), a.max());
+  // Dyadic values: every partial sum is exact, so the sums agree exactly.
+  EXPECT_EQ(b.sum(), a.sum());
+  EXPECT_NEAR(b.mean(), a.mean(), 1e-12);
+  EXPECT_NEAR(b.stddev(), a.stddev(), 1e-12);
+}
+
+TEST(Histogram, MergeIntoEmptyCopiesAndEmptyMergeIsANoOp) {
+  RunningStats run;
+  for (const double x : {1.0, 2.0, 4.0}) run.add(x);
+  Histogram h;
+  h.merge(run);
+  RunningStats snap = h.snapshot();
+  EXPECT_EQ(snap.count(), 3u);
+  EXPECT_EQ(snap.sum(), 7.0);
+  EXPECT_EQ(snap.mean(), run.mean());
+  EXPECT_EQ(snap.stddev(), run.stddev());
+
+  h.merge(RunningStats{});
+  const RunningStats after = h.snapshot();
+  EXPECT_EQ(after.count(), snap.count());
+  EXPECT_EQ(after.mean(), snap.mean());
+  EXPECT_EQ(after.stddev(), snap.stddev());
+  EXPECT_EQ(after.min(), snap.min());
+  EXPECT_EQ(after.max(), snap.max());
+  EXPECT_EQ(after.sum(), snap.sum());
+
+  Histogram empty;
+  empty.merge(RunningStats{});
+  EXPECT_EQ(empty.snapshot().count(), 0u);
+}
+
 TEST(MetricsRegistry, LookupReturnsStableObjects) {
   MetricsRegistry reg;
   Counter& first = reg.counter("same");

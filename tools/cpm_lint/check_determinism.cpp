@@ -11,7 +11,13 @@
 //    per-shard stream derivation, util/trace and util/bench_telemetry own
 //    timestamps);
 //  * pointer-keyed containers/hashes: addresses differ per run, so ordering
-//    or hashing on them is nondeterminism even in an ordered container.
+//    or hashing on them is nondeterminism even in an ordered container;
+//  * process-global metric writes (util::MetricsRegistry::global()) in the
+//    simulation's tick/PIC/GPM path (src/sim, and the run, controller and
+//    checker sources in src/core): chips advanced on different threads would
+//    contend on the shared metric and interleave histogram observations in
+//    thread order. Runs count into plain fields and fold them in once; the
+//    fold site carries an allow() with its reason.
 #include <array>
 #include <set>
 #include <string>
@@ -51,6 +57,33 @@ const std::array<const char*, 7> kApprovedAmbient = {
     "src/util/parallel.h",      "src/util/trace.h",
     "src/util/trace.cpp",       "src/util/bench_telemetry.h",
     "src/util/bench_telemetry.cpp"};
+
+// src/core files on the per-run simulation path. The cluster tier
+// (core/cluster.cpp) publishes once per epoch from its calling thread and is
+// not on this list.
+const std::array<const char*, 8> kRunPathCore = {
+    "src/core/simulation.h",       "src/core/simulation.cpp",
+    "src/core/pic.h",              "src/core/pic.cpp",
+    "src/core/gpm.h",              "src/core/gpm.cpp",
+    "src/core/invariant_checker.h", "src/core/invariant_checker.cpp"};
+
+bool on_run_path(const std::string& rel_path) {
+  if (path_has_prefix(rel_path, "src/sim/")) return true;
+  for (const char* p : kRunPathCore) {
+    if (rel_path == p) return true;
+  }
+  return false;
+}
+
+// True for the `global` in `MetricsRegistry::global` (any qualification of
+// MetricsRegistry).
+bool registry_global(const TokenStream& toks, std::size_t i) {
+  if (!toks[i].ident("global")) return false;
+  const std::size_t colons = prev_code_token(toks, i);
+  if (colons >= toks.size() || !toks[colons].punct("::")) return false;
+  const std::size_t cls = prev_code_token(toks, colons);
+  return cls < toks.size() && toks[cls].ident("MetricsRegistry");
+}
 
 bool std_qualified(const TokenStream& toks, std::size_t i) {
   const std::size_t colons = prev_code_token(toks, i);
@@ -103,7 +136,8 @@ class DeterminismCheck final : public Check {
   std::string name() const override { return kName; }
   std::string description() const override {
     return "no unordered iteration in record paths, no ambient entropy or "
-           "wall clocks outside approved sites, no pointer-keyed ordering";
+           "wall clocks outside approved sites, no pointer-keyed ordering, "
+           "no process-global metric writes on the simulation run path";
   }
 
   void run(const SourceFile& file, const ProjectContext&,
@@ -111,6 +145,7 @@ class DeterminismCheck final : public Check {
     if (!path_has_prefix(file.rel_path, "src/")) return;
     const bool record_layer = path_has_prefix(file.rel_path, "src/sim/") ||
                               path_has_prefix(file.rel_path, "src/core/");
+    const bool run_path = on_run_path(file.rel_path);
     bool ambient_approved = false;
     for (const char* p : kApprovedAmbient) {
       if (file.rel_path == p) ambient_approved = true;
@@ -127,6 +162,17 @@ class DeterminismCheck final : public Check {
                         " in a record-emitting layer: iteration order is "
                         "hash/allocation dependent and leaks into records -- "
                         "use std::map/std::set or a sorted vector",
+                    out);
+        continue;
+      }
+
+      if (run_path && registry_global(toks, i)) {
+        add_finding(file, kName, t.line,
+                    "MetricsRegistry::global() on the simulation run path: "
+                    "threads advancing different chips contend on the shared "
+                    "metric and its histograms fill in thread order -- count "
+                    "into a plain per-run field and fold it in once, at the "
+                    "run's finish()",
                     out);
         continue;
       }
