@@ -3,6 +3,7 @@
 // frequency response along the unit circle with gain/phase margins, and
 // root-locus data. The paper cites exactly this toolbox ("Bode plots, root
 // locus analysis or ... stability criterion", Sec. II-D).
+// cpm-lint: allow(orphan) kept for the conformance check, ROADMAP.md item 6
 #pragma once
 
 #include <optional>

@@ -41,8 +41,8 @@ namespace cpm::core {
 
 /// How the cluster splits its budget across chips each epoch.
 enum class ClusterObjective {
-  /// Share proportional to (smoothed efficiency x chip max power): the rack
-  /// contract, maximizing cluster throughput under the budget.
+  /// Share proportional to (smoothed efficiency x chip max power),
+  /// maximizing cluster throughput under the budget.
   kEfficiency,
   /// Share proportional to (smoothed efficiency^2 x chip max power): squares
   /// the BIPS-per-watt term so power flows to the chips that turn marginal
@@ -66,7 +66,7 @@ struct ClusterConfig {
   double min_share = 0.0;
   ClusterObjective objective = ClusterObjective::kEfficiency;
   /// Gain of the adjustable-gain integral trim on the provisioned budget
-  /// (0 = open-loop provisioning, the rack behaviour). The effective gain
+  /// (0 = open-loop provisioning). The effective gain
   /// each epoch is integral_gain divided by the online budget->power slope
   /// estimate, so tracking speed is independent of how compliant the
   /// workload is.

@@ -6,6 +6,9 @@
 #include <stdexcept>
 
 #include "control/system_id.h"
+#include "core/gpm.h"
+#include "core/maxbips.h"
+#include "core/pic.h"
 #include "core/record_sink.h"
 #include "util/log.h"
 #include "util/metrics.h"
@@ -124,28 +127,6 @@ Simulation::Simulation(SimulationConfig config,
 
 namespace {
 
-/// Per-island accumulator over one calibration interval.
-struct IntervalAccum {
-  double utilization = 0.0;
-  double bips = 0.0;
-  double instructions = 0.0;
-  double true_power_w = 0.0;
-  std::size_t ticks = 0;
-
-  void add(double u, double b, double instr, double p_true) {
-    utilization += u;
-    bips += b;
-    instructions += instr;
-    true_power_w += p_true;
-    ++ticks;
-  }
-  double mean_util() const { return ticks ? utilization / double(ticks) : 0.0; }
-  double mean_power() const {
-    return ticks ? true_power_w / double(ticks) : 0.0;
-  }
-  void reset() { *this = IntervalAccum{}; }
-};
-
 /// What one run (or one calibration) adds to the process-wide metrics.
 /// The tick, PIC and GPM paths count into plain fields of the objects that
 /// own them (sim::Chip, Pic, Gpm, SimulationRun); this is gathered from
@@ -195,6 +176,237 @@ void publish_run_totals(const RunTotals& totals) {
 
 }  // namespace
 
+/// The seam between a SimulationRun and its chip manager: the run owns the
+/// substrate, accumulators and records; the manager sets power targets and
+/// DVFS levels. The base class is the open-loop NoDVFS manager: islands stay
+/// at fmax, each island's nominal target is an equal split of the budget and
+/// its "sensed" power is the actual power.
+class ChipManager {
+ public:
+  ChipManager(double budget_w, std::size_t islands)
+      : budget_w_(budget_w), n_(islands) {}
+  ChipManager(const ChipManager&) = delete;
+  ChipManager& operator=(const ChipManager&) = delete;
+  virtual ~ChipManager() = default;
+
+  /// PIC boundary of island `rec.island`: fills rec.target_w and
+  /// rec.sensed_w, and may request a new frequency for the island.
+  virtual void pic(PicIntervalRecord& rec, sim::Island& /*island*/) {
+    rec.target_w = equal_share();
+    rec.sensed_w = rec.actual_w;
+  }
+  /// A new chip budget, applied at this GPM boundary.
+  virtual void set_budget(double budget_w) { budget_w_ = budget_w; }
+  /// GPM boundary: fills rec.island_alloc_w and may set island levels.
+  virtual void gpm(std::span<const IslandObservation> /*obs*/,
+                   sim::Chip& /*chip*/, GpmIntervalRecord& rec) {
+    rec.island_alloc_w.assign(n_, equal_share());
+  }
+  /// Threads were swapped between islands `a` and `b`.
+  virtual void migrated(std::size_t /*a*/, std::size_t /*b*/) {}
+  /// Adds the manager's own counts to the run's metrics fold.
+  virtual void add_totals(RunTotals& /*totals*/) const {}
+
+ protected:
+  double equal_share() const { return budget_w_ / static_cast<double>(n_); }
+
+  double budget_w_;
+  std::size_t n_;
+};
+
+namespace {
+
+/// The provisioning policy a CPM run's GPM applies.
+std::unique_ptr<ProvisioningPolicy> make_policy(const Simulation& owner) {
+  const SimulationConfig& config = owner.config();
+  PerfPolicyConfig perf_cfg = config.perf_policy;
+  perf_cfg.dvfs = config.cmp.dvfs;  // demand ceilings use the chip's real table
+  switch (config.policy) {
+    case PolicyKind::kPerformance:
+      return std::make_unique<PerformanceAwarePolicy>(perf_cfg);
+    case PolicyKind::kThermal:
+      return std::make_unique<ThermalAwarePolicy>(
+          std::make_unique<PerformanceAwarePolicy>(perf_cfg),
+          resolved_thermal_constraints(config), config.cmp.num_islands);
+    case PolicyKind::kVariation: {
+      VariationPolicyConfig vcfg = config.variation_policy;
+      vcfg.dvfs = config.cmp.dvfs;
+      return std::make_unique<VariationAwarePolicy>(vcfg);
+    }
+    case PolicyKind::kQos: {
+      QosPolicyConfig qcfg = config.qos_policy;
+      qcfg.perf = perf_cfg;
+      return std::make_unique<QosAwarePolicy>(qcfg);
+    }
+    case PolicyKind::kEnergy: {
+      EnergyPolicyConfig ecfg = config.energy_policy;
+      ecfg.perf = perf_cfg;
+      if (ecfg.reference_bips <= 0.0) {
+        for (const double bips : owner.calibration().island_fmax_bips) {
+          ecfg.reference_bips += bips;
+        }
+      }
+      return std::make_unique<EnergyAwarePolicy>(ecfg);
+    }
+  }
+  throw std::invalid_argument("Simulation: unknown policy");
+}
+
+/// The paper's contribution: the GPM provisions per-island targets that one
+/// PID PIC per island tracks through DVFS.
+class CpmChipManager final : public ChipManager {
+ public:
+  CpmChipManager(const Simulation& owner, sim::Chip& chip, double budget_w)
+      : ChipManager(budget_w, owner.config().cmp.num_islands),
+        owner_(owner),
+        gpm_(make_policy(owner), units::Watts{budget_w}, n_) {
+    const SimulationConfig& config = owner.config();
+    const auto& cmp = config.cmp;
+    const CalibrationResult& calibration = owner.calibration();
+    for (std::size_t i = 0; i < n_; ++i) {
+      PicConfig pc;
+      pc.gains = config.pid_gains;
+      pc.plant_gain = calibration.plant_gains[i];
+      pc.min_freq_ghz = cmp.dvfs.min_freq().value();
+      pc.max_freq_ghz = cmp.dvfs.max_freq().value();
+      pc.power_scale_w = owner.max_chip_power().value();
+      pc.max_step_ghz = config.pic_max_step_ghz;
+      pc.deadband_pct = config.pic_deadband_pct;
+      pc.observer_gain = config.pic_observer_gain;
+      // Start each island at the level whose dynamic-power scale roughly
+      // matches its (equal) share of the budget, so the run does not open
+      // with a chip-wide overshoot while the PICs pull power down from fmax.
+      std::size_t init_level = cmp.dvfs.max_level();
+      while (init_level > 0 &&
+             owner.level_scale(init_level) > config.budget_fraction) {
+        --init_level;
+      }
+      chip.island(i).actuator().set_level(init_level);
+      chip.island(i).actuator().consume_stall(1.0);  // no startup stall
+      pics_.emplace_back(pc, calibration.transducers[i],
+                         units::GigaHertz{cmp.dvfs.level(init_level).freq_ghz});
+      pics_.back().set_target(units::Watts{equal_share()});
+      // Migration invalidates the per-island transducer calibration (the
+      // island's thread mix changes), so online recalibration is mandatory
+      // whenever migration is enabled.
+      if (config.adaptive_transducer || config.enable_migration) {
+        adaptive_.emplace_back(calibration.transducers[i]);
+      }
+    }
+  }
+
+  void pic(PicIntervalRecord& rec, sim::Island& island) override {
+    Pic& pic = pics_[rec.island];
+    const double scale = owner_.level_scale(rec.dvfs_level);
+    if (!adaptive_.empty()) {
+      // Online observations are normalized to the reference level, like
+      // the offline calibration samples.
+      power::AdaptiveTransducer& adaptive = adaptive_[rec.island];
+      adaptive.observe(rec.utilization, units::Watts{rec.actual_w / scale});
+      pic.set_transducer(adaptive.model());
+    }
+    rec.target_w = pic.target().value();
+    rec.sensed_w = pic.sensed_power(rec.utilization, scale).value();
+    island.actuator().request_frequency(pic.invoke(rec.utilization, scale));
+  }
+
+  void set_budget(double budget_w) override {
+    ChipManager::set_budget(budget_w);
+    gpm_.set_budget(units::Watts{budget_w});
+  }
+
+  void gpm(std::span<const IslandObservation> obs, sim::Chip& /*chip*/,
+           GpmIntervalRecord& rec) override {
+    rec.island_alloc_w = gpm_.invoke(obs);
+    for (std::size_t i = 0; i < n_; ++i) {
+      pics_[i].set_target(units::Watts{rec.island_alloc_w[i]});
+    }
+  }
+
+  void migrated(std::size_t a, std::size_t b) override {
+    // The moved threads invalidate both islands' utilization->power models:
+    // restart their online calibration from scratch (low prior weight ->
+    // fast relearning).
+    if (adaptive_.empty()) return;
+    const auto& transducers = owner_.calibration().transducers;
+    adaptive_[a] = power::AdaptiveTransducer(transducers[a]);
+    adaptive_[b] = power::AdaptiveTransducer(transducers[b]);
+  }
+
+  void add_totals(RunTotals& totals) const override {
+    for (const Pic& pic : pics_) {
+      totals.pic_invocations += pic.invocations();
+      totals.pic_abs_error_pct.merge(pic.abs_error_stats());
+    }
+    totals.gpm_invocations = gpm_.invocations();
+    totals.gpm_observed_power_w = gpm_.observed_power_stats();
+  }
+
+ private:
+  const Simulation& owner_;
+  Gpm gpm_;
+  std::vector<Pic> pics_;
+  std::vector<power::AdaptiveTransducer> adaptive_;
+};
+
+/// The open-loop MaxBIPS baseline [17]: each GPM window picks the level
+/// vector with the most predicted throughput that fits the budget.
+class MaxBipsChipManager final : public ChipManager {
+ public:
+  MaxBipsChipManager(const Simulation& owner, double budget_w)
+      : ChipManager(budget_w, owner.config().cmp.num_islands),
+        maxbips_({.dvfs = owner.config().cmp.dvfs}, units::Watts{budget_w}) {
+    // The paper-faithful static prediction table: each island characterized
+    // once, at fmax, by its calibration-time peak power and mean BIPS. Left
+    // empty when MaxBIPS re-predicts from live observations instead.
+    if (owner.config().maxbips_dynamic) return;
+    const CalibrationResult& cal = owner.calibration();
+    for (std::size_t i = 0; i < n_; ++i) {
+      table_.push_back({.bips = cal.island_fmax_bips[i],
+                        .power_w = cal.island_peak_power_w[i],
+                        .leakage_w = cal.island_fmax_leakage_w[i],
+                        .dvfs_level = owner.config().cmp.dvfs.max_level()});
+    }
+  }
+
+  void set_budget(double budget_w) override {
+    ChipManager::set_budget(budget_w);
+    maxbips_.set_budget(units::Watts{budget_w});
+  }
+
+  void gpm(std::span<const IslandObservation> obs, sim::Chip& chip,
+           GpmIntervalRecord& rec) override {
+    const std::vector<std::size_t> levels = maxbips_.choose_levels(
+        table_.empty() ? obs : std::span<const IslandObservation>(table_));
+    for (std::size_t i = 0; i < n_; ++i) {
+      chip.island(i).actuator().set_level(levels[i]);
+    }
+    ChipManager::gpm(obs, chip, rec);
+  }
+
+ private:
+  MaxBipsManager maxbips_;
+  std::vector<IslandObservation> table_;
+};
+
+/// The run's one decision on SimulationConfig::manager.
+std::unique_ptr<ChipManager> make_chip_manager(const Simulation& owner,
+                                               sim::Chip& chip,
+                                               double budget_w) {
+  switch (owner.config().manager) {
+    case ManagerKind::kCpm:
+      return std::make_unique<CpmChipManager>(owner, chip, budget_w);
+    case ManagerKind::kMaxBips:
+      return std::make_unique<MaxBipsChipManager>(owner, budget_w);
+    case ManagerKind::kNoDvfs:
+      break;
+  }
+  return std::make_unique<ChipManager>(budget_w,
+                                       owner.config().cmp.num_islands);
+}
+
+}  // namespace
+
 double Simulation::level_scale(std::size_t level) const {
   const auto& dvfs = config_.cmp.dvfs;
   return dvfs.level(level).dynamic_energy_scale() /
@@ -226,7 +438,7 @@ void Simulation::calibrate() {
 
   std::vector<std::vector<double>> utils(n), powers_ref(n), powers_raw(n),
       freqs(n);
-  std::vector<IntervalAccum> accum(n);
+  std::vector<SimulationRun::Accum> accum(n);
   double peak_chip_power = 0.0;
   std::vector<double> island_peak(n, 0.0);
   std::vector<util::RunningStats> island_fmax_bips(n);
@@ -355,14 +567,7 @@ void SimulationRun::publish_metrics() {
   totals.chip_ticks = chip_.ticks();
   totals.pic_records = pic_records_;
   totals.gpm_records = gpm_records_;
-  for (const Pic& pic : pics_) {
-    totals.pic_invocations += pic.invocations();
-    totals.pic_abs_error_pct.merge(pic.abs_error_stats());
-  }
-  if (gpm_) {
-    totals.gpm_invocations = gpm_->invocations();
-    totals.gpm_observed_power_w = gpm_->observed_power_stats();
-  }
+  manager_->add_totals(totals);
   publish_run_totals(totals);
 }
 
@@ -384,104 +589,14 @@ SimulationRun::SimulationRun(Simulation& owner, RecordSink* sink)
       live_budget_w_(owner.budget_w_),
       owned_sink_(sink ? nullptr : std::make_unique<InMemorySink>()),
       sink_(sink ? sink : owned_sink_.get()) {
-  const SimulationConfig& config = owner.config_;
-  const auto& cmp = config.cmp;
-  const CalibrationResult& calibration = owner.calibration_;
+  const auto& cmp = owner.config_.cmp;
   chip_.set_max_power(units::Watts{owner.max_power_w_});
-
-  // ---- build the manager -------------------------------------------------
-  if (config.manager == ManagerKind::kCpm) {
-    PerfPolicyConfig perf_cfg = config.perf_policy;
-    perf_cfg.dvfs = cmp.dvfs;  // demand ceilings use the chip's real table
-    std::unique_ptr<ProvisioningPolicy> policy;
-    switch (config.policy) {
-      case PolicyKind::kPerformance:
-        policy = std::make_unique<PerformanceAwarePolicy>(perf_cfg);
-        break;
-      case PolicyKind::kThermal: {
-        policy = std::make_unique<ThermalAwarePolicy>(
-            std::make_unique<PerformanceAwarePolicy>(perf_cfg),
-            resolved_thermal_constraints(config), n_);
-        break;
-      }
-      case PolicyKind::kVariation: {
-        VariationPolicyConfig vcfg = config.variation_policy;
-        vcfg.dvfs = cmp.dvfs;
-        policy = std::make_unique<VariationAwarePolicy>(vcfg);
-        break;
-      }
-      case PolicyKind::kQos: {
-        QosPolicyConfig qcfg = config.qos_policy;
-        qcfg.perf = perf_cfg;
-        policy = std::make_unique<QosAwarePolicy>(qcfg);
-        break;
-      }
-      case PolicyKind::kEnergy: {
-        EnergyPolicyConfig ecfg = config.energy_policy;
-        ecfg.perf = perf_cfg;
-        if (ecfg.reference_bips <= 0.0) {
-          for (const double bips : calibration.island_fmax_bips) {
-            ecfg.reference_bips += bips;
-          }
-        }
-        policy = std::make_unique<EnergyAwarePolicy>(ecfg);
-        break;
-      }
-    }
-    gpm_ = std::make_unique<Gpm>(std::move(policy),
-                                 units::Watts{live_budget_w_}, n_);
-    for (std::size_t i = 0; i < n_; ++i) {
-      PicConfig pc;
-      pc.gains = config.pid_gains;
-      pc.plant_gain = calibration.plant_gains[i];
-      pc.min_freq_ghz = cmp.dvfs.min_freq().value();
-      pc.max_freq_ghz = cmp.dvfs.max_freq().value();
-      pc.power_scale_w = owner.max_power_w_;
-      pc.max_step_ghz = config.pic_max_step_ghz;
-      pc.deadband_pct = config.pic_deadband_pct;
-      pc.observer_gain = config.pic_observer_gain;
-      // Start each island at the level whose dynamic-power scale roughly
-      // matches its (equal) share of the budget, so the run does not open
-      // with a chip-wide overshoot while the PICs pull power down from fmax.
-      std::size_t init_level = cmp.dvfs.max_level();
-      while (init_level > 0 &&
-             owner.level_scale(init_level) > config.budget_fraction) {
-        --init_level;
-      }
-      chip_.island(i).actuator().set_level(init_level);
-      chip_.island(i).actuator().consume_stall(1.0);  // no startup stall
-      pics_.emplace_back(pc, calibration.transducers[i],
-                         units::GigaHertz{cmp.dvfs.level(init_level).freq_ghz});
-      pics_.back().set_target(
-          units::Watts{live_budget_w_ / static_cast<double>(n_)});
-      // Migration invalidates the per-island transducer calibration (the
-      // island's thread mix changes), so online recalibration is mandatory
-      // whenever migration is enabled.
-      if (config.adaptive_transducer || config.enable_migration) {
-        adaptive_.emplace_back(calibration.transducers[i]);
-      }
-    }
-  } else if (config.manager == ManagerKind::kMaxBips) {
-    MaxBipsConfig mc;
-    mc.dvfs = cmp.dvfs;
-    maxbips_ =
-        std::make_unique<MaxBipsManager>(mc, units::Watts{live_budget_w_});
-  }
-
-  // MaxBIPS's static prediction table: each island characterized once, at
-  // fmax, by its calibration-time peak power and mean BIPS.
-  maxbips_static_.resize(n_);
-  for (std::size_t i = 0; i < n_; ++i) {
-    maxbips_static_[i].bips = calibration.island_fmax_bips[i];
-    maxbips_static_[i].power_w = calibration.island_peak_power_w[i];
-    maxbips_static_[i].leakage_w = calibration.island_fmax_leakage_w[i];
-    maxbips_static_[i].dvfs_level = cmp.dvfs.max_level();
-  }
+  manager_ = make_chip_manager(owner, chip_, live_budget_w_);
 
   // ---- result / accumulator setup -----------------------------------------
   result_.max_chip_power_w = owner.max_power_w_;
   result_.budget_w = owner.budget_w_;
-  result_.calibration = calibration;
+  result_.calibration = owner.calibration_;
   result_.island_instructions.assign(n_, 0.0);
   result_.island_energy_j.assign(n_, 0.0);
   result_.island_avg_bips.assign(n_, 0.0);
@@ -637,25 +752,8 @@ void SimulationRun::pic_boundary(double now) {
     rec.bips = pic_accum_[i].mean_bips();
     rec.freq_ghz = chip_.island(i).operating_point().freq_ghz;
     rec.dvfs_level = chip_.island(i).actuator().current_level();
-
-    if (config.manager == ManagerKind::kCpm) {
-      const double scale = owner_->level_scale(rec.dvfs_level);
-      if (!adaptive_.empty()) {
-        // Online observations are normalized to the reference level, like
-        // the offline calibration samples.
-        adaptive_[i].observe(u, units::Watts{rec.actual_w / scale});
-        pics_[i].set_transducer(adaptive_[i].model());
-      }
-      rec.target_w = pics_[i].target().value();
-      rec.sensed_w = pics_[i].sensed_power(u, scale).value();
-      gpm_sensed_energy_[i] += rec.sensed_w * cmp.pic_interval_s;
-      const units::GigaHertz freq_req = pics_[i].invoke(u, scale);
-      chip_.island(i).actuator().request_frequency(freq_req);
-    } else {
-      rec.target_w = live_budget_w_ / static_cast<double>(n_);
-      rec.sensed_w = rec.actual_w;
-      gpm_sensed_energy_[i] += rec.sensed_w * cmp.pic_interval_s;
-    }
+    manager_->pic(rec, chip_.island(i));
+    gpm_sensed_energy_[i] += rec.sensed_w * cmp.pic_interval_s;
     // Counted here, at the production site, rather than in RecordSink: a
     // CheckingSink forwards each record through its inner sink's public
     // entry point, which would double-count.
@@ -686,8 +784,7 @@ void SimulationRun::gpm_boundary(double now) {
   if (pending_budget_w_ > 0.0) {
     live_budget_w_ = pending_budget_w_;
     pending_budget_w_ = -1.0;
-    if (gpm_) gpm_->set_budget(units::Watts{live_budget_w_});
-    if (maxbips_) maxbips_->set_budget(units::Watts{live_budget_w_});
+    manager_->set_budget(live_budget_w_);
   }
 
   std::vector<IslandObservation> obs(n_);
@@ -711,24 +808,7 @@ void SimulationRun::gpm_boundary(double now) {
     gpm_sensed_energy_[i] = 0.0;
   }
 
-  if (config.manager == ManagerKind::kCpm) {
-    const std::vector<double> alloc = gpm_->invoke(obs);
-    for (std::size_t i = 0; i < n_; ++i) {
-      pics_[i].set_target(units::Watts{alloc[i]});
-    }
-    rec.island_alloc_w = alloc;
-  } else if (config.manager == ManagerKind::kMaxBips) {
-    const std::vector<std::size_t> levels = maxbips_->choose_levels(
-        config.maxbips_dynamic ? std::span<const IslandObservation>(obs)
-                               : std::span<const IslandObservation>(
-                                     maxbips_static_));
-    for (std::size_t i = 0; i < n_; ++i) {
-      chip_.island(i).actuator().set_level(levels[i]);
-    }
-    rec.island_alloc_w.assign(n_, live_budget_w_ / static_cast<double>(n_));
-  } else {
-    rec.island_alloc_w.assign(n_, live_budget_w_ / static_cast<double>(n_));
-  }
+  manager_->gpm(obs, chip_, rec);
   last_gpm_power_w_ = rec.chip_actual_w;
   last_gpm_bips_ = rec.chip_bips;
   CPM_TRACE_COUNTER("chip_power_w", "actual", rec.chip_actual_w);
@@ -755,15 +835,7 @@ void SimulationRun::gpm_boundary(double now) {
                       config.migration.migration_stall_s);
         ++result_.migrations;
         migration_cooldown_ = config.migration.cooldown_windows;
-        // The moved threads invalidate both islands' utilization->power
-        // models: restart their online calibration from scratch (low prior
-        // weight -> fast relearning).
-        if (!adaptive_.empty()) {
-          adaptive_[proposal->island_a] = power::AdaptiveTransducer(
-              owner_->calibration_.transducers[proposal->island_a]);
-          adaptive_[proposal->island_b] = power::AdaptiveTransducer(
-              owner_->calibration_.transducers[proposal->island_b]);
-        }
+        manager_->migrated(proposal->island_a, proposal->island_b);
       }
     }
   }

@@ -20,9 +20,6 @@
 #include "core/energy_policy.h"
 #include "core/migration.h"
 #include "core/qos_policy.h"
-#include "core/gpm.h"
-#include "core/maxbips.h"
-#include "core/pic.h"
 #include "core/perf_policy.h"
 #include "core/thermal_policy.h"
 #include "core/types.h"
@@ -163,10 +160,11 @@ ThermalConstraints resolved_thermal_constraints(const SimulationConfig& config);
 
 class Simulation;
 class RecordSink;
+class ChipManager;  // the run's manager seam, private to simulation.cpp
 
 /// A live, resumable simulation: the state `Simulation::run` would hold on
-/// its stack, promoted to an object so a supervising layer (e.g. a rack
-/// manager splitting a datacenter budget across chips) can interleave
+/// its stack, promoted to an object so a supervising layer (e.g. the
+/// cluster tier splitting a facility budget across chips) can interleave
 /// `advance()` calls with budget updates. Obtain one from
 /// `Simulation::start()`; `advance()` any number of times; `finish()` once.
 /// The owning Simulation must outlive its runs (the run borrows the
@@ -202,7 +200,7 @@ class SimulationRun {
   /// once finish() has consumed the run (throws).
   double instructions() const;
   /// Mean chip power over the last completed GPM window (0 before the
-  /// first window) -- the observable a rack tier provisions on.
+  /// first window) -- the observable the cluster tier provisions on.
   units::Watts last_window_power() const;
   double last_window_bips() const;
 
@@ -213,10 +211,10 @@ class SimulationRun {
   void tick_once();
   void pic_boundary(double now);
   void gpm_boundary(double now);
-  /// Folds this run's counts and statistics (chip ticks, records, PIC/GPM
-  /// invocations and their distributions) into the process-wide metrics
-  /// registry. Called exactly once: by finish(), or by the destructor of a
-  /// run that was never finished.
+  /// Folds this run's counts and statistics (chip ticks, records, and the
+  /// manager's PIC/GPM invocations and distributions) into the process-wide
+  /// metrics registry. Called exactly once: by finish(), or by the destructor
+  /// of a run that was never finished.
   void publish_metrics();
 
   Simulation* owner_;
@@ -225,12 +223,9 @@ class SimulationRun {
   thermal::RcThermalModel thermal_;
   thermal::HotspotDetector hotspots_;
   util::Xoshiro256pp sensor_rng_;
-  // Managers.
-  std::unique_ptr<Gpm> gpm_;
-  std::unique_ptr<MaxBipsManager> maxbips_;
-  std::vector<Pic> pics_;
-  std::vector<power::AdaptiveTransducer> adaptive_;
-  std::vector<IslandObservation> maxbips_static_;
+  // The chip manager (CPM, MaxBIPS or NoDVFS), chosen once from
+  // SimulationConfig::manager.
+  std::unique_ptr<ChipManager> manager_;
   MigrationAdvisor migration_advisor_;
   // Cadence.
   double dt_;
@@ -240,7 +235,7 @@ class SimulationRun {
   std::uint64_t tick_ = 0;
   double tick_carry_ = 0.0;  // fractional ticks owed by advance()
   std::size_t pic_count_in_window_ = 0;
-  // Rolling per-interval accumulators.
+  // Rolling per-interval accumulators (also used by the calibration run).
   struct Accum {
     double utilization = 0.0, bips = 0.0, instructions = 0.0, power_w = 0.0;
     std::size_t ticks = 0;

@@ -3,13 +3,14 @@
 // Each scenario draws a random-but-reproducible configuration (topology,
 // DVFS table, controller cadence, workload mix, budget and mid-run budget
 // schedule, actuation knobs, sensing pathologies) from a seeded util::rng
-// stream, then runs all six manager/policy variants (CPM x
-// perf/thermal/variation, MaxBIPS with its static table and with dynamic
-// observations, NoDVFS) under an InvariantChecker and asserts six
+// stream, then runs all nine manager/policy variants (CPM x
+// perf/thermal/variation/energy/QoS with an SLA floor on one island, CPM
+// perf with runtime thread migration, MaxBIPS with its static table and with
+// dynamic observations, NoDVFS) under an InvariantChecker and asserts six
 // differential guarantees on top of the per-record invariants:
 //
 //   1. determinism  -- the same seed produces bit-identical results whether
-//                      the six variants run serially or via
+//                      the nine variants run serially or via
 //                      util::parallel_map (full pipeline incl. calibration);
 //   2. trace fidelity -- CSV and JSONL round-trips through trace_io
 //                      reproduce every serialized field bit-exactly;
@@ -74,6 +75,7 @@ struct VariantSpec {
   core::ManagerKind manager;
   core::PolicyKind policy;
   bool maxbips_dynamic = false;
+  bool migration = false;
 };
 
 constexpr VariantSpec kVariants[] = {
@@ -84,6 +86,10 @@ constexpr VariantSpec kVariants[] = {
     {"maxbips/dynamic", core::ManagerKind::kMaxBips,
      core::PolicyKind::kPerformance, true},
     {"nodvfs", core::ManagerKind::kNoDvfs, core::PolicyKind::kPerformance},
+    {"cpm/energy", core::ManagerKind::kCpm, core::PolicyKind::kEnergy},
+    {"cpm/qos", core::ManagerKind::kCpm, core::PolicyKind::kQos},
+    {"cpm/perf+migration", core::ManagerKind::kCpm,
+     core::PolicyKind::kPerformance, false, true},
 };
 constexpr std::size_t kNumVariants = std::size(kVariants);
 
@@ -400,10 +406,22 @@ bool FuzzRun::run_scenario(std::size_t index) {
   const std::size_t before = failures_.size();
   // Independent per-scenario stream: replaying scenario K regenerates the
   // identical configuration without walking the first K-1 scenarios.
-  util::Xoshiro256pp rng(opt_.seed + 0x9e3779b97f4a7c15ULL *
-                                         static_cast<std::uint64_t>(index + 1));
+  const std::uint64_t scenario_seed =
+      opt_.seed +
+      0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(index + 1);
+  util::Xoshiro256pp rng(scenario_seed);
   double duration = 0.0;
   const core::SimulationConfig base = random_config(rng, duration);
+  // Draws for variants added after the first six come from a second stream,
+  // so every draw from `rng` (and every older scenario) stays where it was.
+  util::Xoshiro256pp variant_rng(scenario_seed ^ 0x5A11F100D0ULL);
+  // QoS: one island gets a throughput floor that is sometimes feasible and
+  // sometimes not (BIPS per core ~ IPC x f, IPC below ~1.5).
+  std::vector<double> qos_min_bips(base.cmp.num_islands, 0.0);
+  qos_min_bips[variant_rng.uniform_int(base.cmp.num_islands)] =
+      variant_rng.uniform(0.2, 0.8) *
+      static_cast<double>(base.cmp.cores_per_island) *
+      base.cmp.dvfs.max_freq().value();
 
   std::vector<core::SimulationConfig> configs;
   for (const VariantSpec& v : kVariants) {
@@ -411,6 +429,10 @@ bool FuzzRun::run_scenario(std::size_t index) {
     c.manager = v.manager;
     c.policy = v.policy;
     c.maxbips_dynamic = v.maxbips_dynamic;
+    c.enable_migration = v.migration;
+    if (v.policy == core::PolicyKind::kQos) {
+      c.qos_policy.min_bips = qos_min_bips;
+    }
     configs.push_back(std::move(c));
   }
 

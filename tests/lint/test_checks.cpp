@@ -79,6 +79,8 @@ TEST(CheckFamilies, Layering) {
 
 TEST(CheckFamilies, Units) { expect_family_matches_golden("units", 8, 2); }
 
+TEST(CheckFamilies, Orphan) { expect_family_matches_golden("orphan", 3, 1); }
+
 // Selecting one family must not leak findings from another: the fixture tree
 // trips every check, so a units-only run reporting determinism findings means
 // check selection is broken.
@@ -88,12 +90,12 @@ TEST(CheckFamilies, SelectionIsExclusive) {
   for (const auto& f : result.suppressed) EXPECT_EQ(f.check, "units");
 }
 
-// All five families must be registered; a family dropped from the registry
+// All six families must be registered; a family dropped from the registry
 // would silently stop running everywhere.
 TEST(CheckFamilies, RegistryIsComplete) {
   const std::vector<std::string> names = cpm_lint::check_names();
   for (const char* expected : {"determinism", "parallel-capture", "fp-repro",
-                               "layering", "units"}) {
+                               "layering", "units", "orphan"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << expected;
   }

@@ -26,6 +26,7 @@ std::vector<std::unique_ptr<Check>> all_checks() {
   checks.push_back(make_fp_repro_check());
   checks.push_back(make_layering_check());
   checks.push_back(make_units_check());
+  checks.push_back(make_orphan_check());
   return checks;
 }
 

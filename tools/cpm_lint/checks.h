@@ -12,5 +12,6 @@ std::unique_ptr<Check> make_parallel_capture_check();
 std::unique_ptr<Check> make_fp_repro_check();
 std::unique_ptr<Check> make_layering_check();
 std::unique_ptr<Check> make_units_check();
+std::unique_ptr<Check> make_orphan_check();
 
 }  // namespace cpm_lint
